@@ -21,7 +21,8 @@ and the network tier: the frame codec round-trip and a full remote batch
 dispatch against a live local worker-host subprocess, plus the
 observability guards: the disabled-tracing span check and a metrics-blob
 histogram merge, and the resilience guards: the per-routing-decision
-circuit-breaker check and the retry wrapper's no-fault dispatch overhead)
+circuit-breaker check and the retry wrapper's no-fault dispatch overhead,
+and the paper half: compile, schedule and check one small suite program)
 and compares each against the recorded baseline in ``BENCH_engine.json``
 next to this script.  A kernel regresses if it is more than ``--tolerance``
 times slower than baseline (generous by default: baselines travel between
@@ -232,6 +233,19 @@ def _kernels():
     # resilience tier adds to every dispatch.
     from repro.serve.resilience import breaker_check_probe, retry_overhead_probe
 
+    # Compiler pipeline: translate, data-schedule and cycle-schedule one
+    # fixed Table-3 program at N=4096, then check the schedule.
+    from repro.bench.workloads import lola_mnist
+    from repro.compiler.pipeline import compile_program
+    from repro.sim.simulator import check_schedule
+
+    suite_program = lola_mnist(scale=0.02, n=4096)
+
+    def _compile_pipeline():
+        compiled = compile_program(suite_program)
+        return check_schedule(compiled.translation.graph, compiled.movement,
+                              compiled.schedule)
+
     return {
         "ntt_forward_all_limb": lambda: ctx.forward(limbs),
         "ntt_inverse_all_limb": lambda: ctx.inverse(evals),
@@ -278,6 +292,7 @@ def _kernels():
         "metrics_histogram_merge": lambda: merge_snapshots(blob_a, blob_b),
         "resilience_breaker_check": lambda: breaker_check_probe(),
         "retry_dispatch_overhead": lambda: retry_overhead_probe(),
+        "compile_pipeline": _compile_pipeline,
     }
 
 

@@ -23,37 +23,34 @@ from repro.core.isa import InstructionGraph
 
 def csr_order(graph: InstructionGraph) -> list[int]:
     """Topological order minimizing live-value count, Goodman-Hsu style."""
-    instructions = graph.instructions
-    values = graph.values
-    remaining_uses = [len(v.users) for v in values]
-    indegree = [0] * len(instructions)
-    for instr in instructions:
-        for vid in instr.inputs:
-            if values[vid].producer is not None:
-                indegree[instr.instr_id] += 1
+    in0, in1, out, producer = graph.in0, graph.in1, graph.out, graph.producer
+    count = graph.num_instructions
+    offsets, users = graph.users_csr()
+    remaining_uses = [offsets[v + 1] - offsets[v] for v in range(graph.num_values)]
+    indegree = [0] * count
+    for i in range(count):
+        indegree[i] = (producer[in0[i]] >= 0) + (in1[i] >= 0 and producer[in1[i]] >= 0)
 
-    def score(instr_id: int) -> tuple[int, int]:
-        """(negated net released values, original priority)."""
-        instr = instructions[instr_id]
-        released = sum(
-            1 for vid in set(instr.inputs) if remaining_uses[vid] == _uses_by(instr, vid)
-        )
-        # Creating the output adds one live value.
-        return (-(released - 1), instr_id)
+    def score(i: int) -> int:
+        """Heap key of (negated net released values, original priority):
+        an operand is released when this instruction holds all its
+        remaining uses, and creating the output adds one live value."""
+        a, b = in0[i], in1[i]
+        if b < 0:
+            released = remaining_uses[a] == 1
+        elif a == b:
+            released = remaining_uses[a] == 2
+        else:
+            released = (remaining_uses[a] == 1) + (remaining_uses[b] == 1)
+        return (2 - released) * count + i
 
-    def _uses_by(instr, vid: int) -> int:
-        return sum(1 for v in instr.inputs if v == vid)
-
-    ready = [score(i.instr_id) for i in instructions if indegree[i.instr_id] == 0]
+    ready = [score(i) for i in range(count) if indegree[i] == 0]
     heapq.heapify(ready)
     order: list[int] = []
-    emitted = [False] * len(instructions)
-    users_of_output = [
-        [u for u in values[instr.output].users] for instr in instructions
-    ]
+    emitted = [False] * count
 
     while ready:
-        _, instr_id = heapq.heappop(ready)
+        instr_id = heapq.heappop(ready) % count
         if emitted[instr_id]:
             continue
         # Scores go stale as uses retire; recompute lazily.
@@ -63,13 +60,14 @@ def csr_order(graph: InstructionGraph) -> list[int]:
             continue
         emitted[instr_id] = True
         order.append(instr_id)
-        instr = instructions[instr_id]
-        for vid in instr.inputs:
-            remaining_uses[vid] -= 1
-        for user in users_of_output[instr_id]:
+        remaining_uses[in0[instr_id]] -= 1
+        if in1[instr_id] >= 0:
+            remaining_uses[in1[instr_id]] -= 1
+        o = out[instr_id]
+        for user in users[offsets[o]:offsets[o + 1]]:
             indegree[user] -= 1
             if indegree[user] == 0:
                 heapq.heappush(ready, score(user))
-    if len(order) != len(instructions):
+    if len(order) != count:
         raise ValueError("CSR scheduler failed to order all instructions")
     return order

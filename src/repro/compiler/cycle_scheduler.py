@@ -18,15 +18,33 @@ Because the schedule is fully static, the resulting makespan *is* the
 performance number (Sec. 4.4: "our scheduler also doubles as a performance
 measurement tool"); the independent checker in :mod:`repro.sim.simulator`
 re-validates it.
+
+Implementation: the per-kind FU family, occupancy and latency are looked up
+once per schedule; each FU family is one flat free-time list in (cluster,
+unit) order; value readiness and last-use times are lists indexed by value
+id.  The pick rule is greedy earliest start: the first unit in (cluster,
+unit) order that is free by the ready time, else the first unit with the
+earliest free time.  The result is stored as parallel columns;
+:class:`ScheduledInstr` / :class:`ScheduledTransfer` records are
+materialised on request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
 
-from repro.compiler.data_scheduler import DataMovementSchedule
+from repro.compiler.data_scheduler import EVICT, EXEC, LOAD, DataMovementSchedule
 from repro.core.config import F1Config
-from repro.core.isa import InstructionGraph
+from repro.core.isa import INSTR_KINDS, InstructionGraph, RowView, columns_from
+
+#: FU family codes: ``schedule.instr_fu[i]`` indexes FU_FAMILIES
+FU_FAMILIES = ("ntt", "aut", "mul", "add")
+_FU_CODE = {fu: i for i, fu in enumerate(FU_FAMILIES)}
+#: transfer kind codes: ``schedule.transfer_kind[i]`` indexes TRANSFER_KINDS
+LOAD_TRANSFER, STORE_TRANSFER = range(2)
+TRANSFER_KINDS = ("load", "store")
+_TRANSFER_CODE = {k: i for i, k in enumerate(TRANSFER_KINDS)}
 
 
 @dataclass
@@ -48,15 +66,73 @@ class ScheduledTransfer:
     end: float
 
 
+def _instr(i, start, end, cluster, unit, fu, occupancy) -> ScheduledInstr:
+    return ScheduledInstr(i, start, end, cluster, unit, FU_FAMILIES[fu], occupancy)
+
+
+def _instr_row(s: ScheduledInstr) -> tuple:
+    return (s.instr_id, s.start, s.end, s.cluster, s.unit, _FU_CODE[s.fu],
+            s.occupancy)
+
+
+def _transfer(kind, value_id, start, end) -> ScheduledTransfer:
+    return ScheduledTransfer(TRANSFER_KINDS[kind], value_id, start, end)
+
+
+def _transfer_row(t: ScheduledTransfer) -> tuple:
+    return (_TRANSFER_CODE[t.kind], t.value_id, t.start, t.end)
+
+
 @dataclass
 class CycleSchedule:
+    """A static schedule as columns.  Per scheduled instruction, in issue
+    order: ``instr_id``, ``instr_start``, ``instr_end`` (result-available
+    cycle), ``instr_cluster``, ``instr_unit``, ``instr_fu`` (a FU_FAMILIES
+    code) and ``instr_occupancy``.  Per HBM transfer, in issue order:
+    ``transfer_kind`` (a TRANSFER_KINDS code), ``transfer_value``,
+    ``transfer_start`` and ``transfer_end``."""
+
     makespan: int
-    instrs: list[ScheduledInstr]
-    transfers: list[ScheduledTransfer]
     config: F1Config
     n: int
+    instr_id: list[int]
+    instr_start: list[int]
+    instr_end: list[int]
+    instr_cluster: list[int]
+    instr_unit: list[int]
+    instr_fu: list[int]
+    instr_occupancy: list[int]
+    transfer_kind: list[int]
+    transfer_value: list[int]
+    transfer_start: list[float]
+    transfer_end: list[float]
     fu_busy_cycles: dict = field(default_factory=dict)   # fu kind -> cycles
     hbm_busy_cycles: float = 0.0
+
+    @property
+    def instrs(self) -> RowView:
+        """Scheduled instructions as :class:`ScheduledInstr` records."""
+        return RowView((self.instr_id, self.instr_start, self.instr_end,
+                        self.instr_cluster, self.instr_unit, self.instr_fu,
+                        self.instr_occupancy), _instr, _instr_row)
+
+    @instrs.setter
+    def instrs(self, records) -> None:
+        (self.instr_id, self.instr_start, self.instr_end, self.instr_cluster,
+         self.instr_unit, self.instr_fu, self.instr_occupancy) = columns_from(
+            records, _instr_row, 7)
+
+    @property
+    def transfers(self) -> RowView:
+        """HBM transfers as :class:`ScheduledTransfer` records."""
+        return RowView((self.transfer_kind, self.transfer_value,
+                        self.transfer_start, self.transfer_end),
+                       _transfer, _transfer_row)
+
+    @transfers.setter
+    def transfers(self, records) -> None:
+        (self.transfer_kind, self.transfer_value, self.transfer_start,
+         self.transfer_end) = columns_from(records, _transfer_row, 4)
 
     @property
     def time_ms(self) -> float:
@@ -73,111 +149,114 @@ class CycleSchedule:
         return self.hbm_busy_cycles / max(1, self.makespan)
 
 
-class _FuPool:
-    """Per-(cluster, kind) unit timelines with pipelined issue slots."""
-
-    def __init__(self, config: F1Config):
-        self.config = config
-        self.next_free = {
-            fu: [[0] * config._spec(fu).count for _ in range(config.clusters)]
-            for fu in ("ntt", "aut", "mul", "add")
-        }
-
-    def schedule(self, fu: str, ready: int, occupancy: int) -> tuple[int, int, int]:
-        """Greedy earliest-start assignment; returns (start, cluster, unit)."""
-        best = None
-        for cluster in range(self.config.clusters):
-            for unit, free in enumerate(self.next_free[fu][cluster]):
-                start = max(ready, free)
-                if best is None or start < best[0]:
-                    best = (start, cluster, unit)
-                    if start == ready:
-                        break
-            if best and best[0] == ready:
-                break
-        start, cluster, unit = best
-        self.next_free[fu][cluster][unit] = start + occupancy
-        return start, cluster, unit
-
-
 def schedule_cycles(
     graph: InstructionGraph,
     movement: DataMovementSchedule,
     config: F1Config,
 ) -> CycleSchedule:
-    instructions = graph.instructions
-    pool = _FuPool(config)
-    value_ready: dict[int, float] = {}
-    event_end: list[float] = [0.0] * len(movement.events)
+    n = graph.n
+    in0, in1, out, kind = graph.in0, graph.in1, graph.out, graph.kind
+    # (fu code, occupancy, latency) per instruction kind, and per FU family
+    # one free-time list over its units in (cluster, unit) order.
+    kind_fu, kind_occ, kind_lat = [], [], []
+    for k in INSTR_KINDS:
+        fu = k.fu
+        kind_fu.append(_FU_CODE[fu])
+        kind_occ.append(config.fu_occupancy(fu, n))
+        kind_lat.append(config.fu_latency(k.value if fu == "ntt" else fu, n))
+    per_cluster = [getattr(config, fu).count for fu in FU_FAMILIES]
+    free_at = [[0] * (units * config.clusters) for units in per_cluster]
+
+    value_ready = [0.0] * graph.num_values
+    last_use_end = [0.0] * graph.num_values
+    event_end: list[float] = [0.0] * len(movement.event_kind)
     hbm_next_free = 0.0
     hbm_busy = 0.0
-    load_cycles = config.load_cycles(graph.n)
-    transfer = config.transfer_cycles(graph.n)
+    load_cycles = config.load_cycles(n)
+    transfer = config.transfer_cycles(n)
     latency_hbm = config.hbm_latency_cycles
 
-    scheduled: list[ScheduledInstr] = []
-    transfers: list[ScheduledTransfer] = []
-    fu_busy: dict[str, int] = {"ntt": 0, "aut": 0, "mul": 0, "add": 0}
+    s_id, s_start, s_end, s_cluster, s_unit, s_fu, s_occ = ([] for _ in range(7))
+    t_kind, t_value, t_start, t_end = [], [], [], []
     makespan = 0.0
 
-    last_use_end: dict[int, float] = {}
-
-    for idx, event in enumerate(movement.events):
-        if event.kind == "evict":
+    for idx, (ek, target, frees) in enumerate(
+            zip(movement.event_kind, movement.event_target, movement.event_frees)):
+        if ek == EXEC:
+            k = kind[target]
+            fu, occupancy = kind_fu[k], kind_occ[k]
+            a, b, o = in0[target], in1[target], out[target]
+            ready = value_ready[a]
+            if b >= 0 and value_ready[b] > ready:
+                ready = value_ready[b]
+            # Operand delivery over the on-chip network.
+            ready = int(round(ready + transfer))
+            # The first unit in (cluster, unit) order free by ``ready``.
+            free = free_at[fu]
+            unit = next(compress(count(), map(ready.__ge__, free)), -1)
+            if unit < 0:          # every unit busy at ``ready``
+                start = min(free)
+                unit = free.index(start)
+            else:
+                start = ready
+            free[unit] = start + occupancy
+            end = start + kind_lat[k]
+            value_ready[o] = end
+            event_end[idx] = end
+            if end > last_use_end[a]:
+                last_use_end[a] = end
+            if b >= 0 and end > last_use_end[b]:
+                last_use_end[b] = end
+            if end > last_use_end[o]:
+                last_use_end[o] = end
+            cluster, unit = divmod(unit, per_cluster[fu])
+            s_id.append(target)
+            s_start.append(start)
+            s_end.append(end)
+            s_cluster.append(cluster)
+            s_unit.append(unit)
+            s_fu.append(fu)
+            s_occ.append(occupancy)
+            if end > makespan:
+                makespan = end
+        elif ek == EVICT:
             # The slot is free once the victim's last scheduled use completes.
-            event_end[idx] = last_use_end.get(event.target, 0.0)
-        elif event.kind == "load":
-            earliest = 0.0
-            if event.frees_slot_of is not None and event.frees_slot_of >= 0:
-                earliest = event_end[event.frees_slot_of]
+            event_end[idx] = last_use_end[target]
+        elif ek == LOAD:
+            earliest = event_end[frees] if frees >= 0 else 0.0
             start = max(hbm_next_free, earliest)
             hbm_next_free = start + load_cycles
             hbm_busy += load_cycles
             end = start + load_cycles + latency_hbm
-            value_ready[event.target] = end
+            value_ready[target] = end
             event_end[idx] = end
-            transfers.append(ScheduledTransfer("load", event.target, start, end))
-        elif event.kind == "store":
-            ready = value_ready.get(event.target, 0.0)
-            start = max(hbm_next_free, ready)
+            t_kind.append(LOAD_TRANSFER)
+            t_value.append(target)
+            t_start.append(start)
+            t_end.append(end)
+        else:  # store
+            start = max(hbm_next_free, value_ready[target])
             hbm_next_free = start + load_cycles
             hbm_busy += load_cycles
             end = start + load_cycles
             event_end[idx] = end
-            transfers.append(ScheduledTransfer("store", event.target, start, end))
-            makespan = max(makespan, end)
-        else:  # exec
-            instr = instructions[event.target]
-            fu = instr.kind.fu
-            occupancy = config.fu_occupancy(fu, instr.n)
-            latency = config.fu_latency(instr.kind.value if fu == "ntt" else fu, instr.n)
-            ready = max(
-                (value_ready.get(vid, 0.0) for vid in instr.inputs), default=0.0
-            )
-            # Operand delivery over the on-chip network.
-            ready += transfer
-            start, cluster, unit = pool.schedule(fu, int(round(ready)), occupancy)
-            end = start + latency
-            value_ready[instr.output] = end
-            event_end[idx] = end
-            for vid in instr.inputs:
-                last_use_end[vid] = max(last_use_end.get(vid, 0.0), end)
-            last_use_end[instr.output] = max(last_use_end.get(instr.output, 0.0), end)
-            fu_busy[fu] += occupancy
-            scheduled.append(
-                ScheduledInstr(
-                    instr_id=instr.instr_id, start=start, end=end,
-                    cluster=cluster, unit=unit, fu=fu, occupancy=occupancy,
-                )
-            )
+            t_kind.append(STORE_TRANSFER)
+            t_value.append(target)
+            t_start.append(start)
+            t_end.append(end)
             makespan = max(makespan, end)
 
+    fu_busy = {fu: s_fu.count(code) * config.fu_occupancy(fu, n)
+               for code, fu in enumerate(FU_FAMILIES)}
     return CycleSchedule(
         makespan=int(round(makespan)),
-        instrs=scheduled,
-        transfers=transfers,
         config=config,
-        n=graph.n,
+        n=n,
+        instr_id=s_id, instr_start=s_start, instr_end=s_end,
+        instr_cluster=s_cluster, instr_unit=s_unit, instr_fu=s_fu,
+        instr_occupancy=s_occ,
+        transfer_kind=t_kind, transfer_value=t_value,
+        transfer_start=t_start, transfer_end=t_end,
         fu_busy_cycles=fu_busy,
         hbm_busy_cycles=hbm_busy,
     )

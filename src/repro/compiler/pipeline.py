@@ -35,7 +35,7 @@ class CompiledProgram:
         return {
             "program": self.program.name,
             "n": self.program.n,
-            "instructions": len(self.translation.graph.instructions),
+            "instructions": self.translation.graph.num_instructions,
             "makespan_cycles": self.makespan,
             "time_ms": round(self.time_ms, 4),
             "offchip_bytes": sum(self.traffic_breakdown_bytes().values()),

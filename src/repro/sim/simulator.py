@@ -8,9 +8,15 @@ as expected and there are no missed dependences or structural hazards").
 
 Checks performed, independently of the scheduler's own bookkeeping:
 
-1. **Dependences**: every instruction starts no earlier than (a) each
-   operand's producing instruction's completion plus the network transfer, or
-   (b) the operand's load completion if it came from off-chip.
+1. **Dependences**: walking the phase-2 event stream in order, an operand is
+   available at the completion of its latest delivery before the use — the
+   producing instruction, or the load that (re)filled it from off-chip — and
+   every instruction starts no earlier than each operand's availability plus
+   the on-chip network transfer.  A refilled spill is therefore checked
+   against its refill, not its producer.  Instructions issue on integer
+   cycles while loads at small N complete on fractional ones, so an issue
+   within half a cycle of the ready time counts as on time (the scheduler
+   rounds to the nearest cycle).
 2. **Structural hazards**: per (cluster, FU, unit), issue slots are spaced by
    at least the occupancy.
 3. **HBM bandwidth**: in no window does scheduled traffic exceed capacity
@@ -18,17 +24,24 @@ Checks performed, independently of the scheduler's own bookkeeping:
    must not overlap).
 4. **Scratchpad capacity**: replaying the phase-2 event list never exceeds
    the slot count, and no value is used while not resident (clobber check).
+
+The checker reads the columns of the graph, the event list and the schedule
+directly: per-instruction and per-value state lives in lists indexed by id,
+hazards are found by one sort and an adjacent-pair compare.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import compress, count
+from operator import lt, sub
 
-from repro.compiler.cycle_scheduler import CycleSchedule
-from repro.compiler.data_scheduler import DataMovementSchedule
+from repro.compiler.cycle_scheduler import FU_FAMILIES, LOAD_TRANSFER, CycleSchedule
+from repro.compiler.data_scheduler import EXEC, LOAD, DataMovementSchedule
 from repro.core.config import F1Config
 from repro.core.isa import InstructionGraph
+
+INF = float("inf")
 
 
 @dataclass
@@ -54,69 +67,123 @@ def check_schedule(
 ) -> CheckReport:
     config = config or schedule.config
     violations: list[str] = []
-    instrs_by_id = {s.instr_id: s for s in schedule.instrs}
+    in0, in1, out = graph.in0, graph.in1, graph.out
     transfer = config.transfer_cycles(graph.n)
 
-    # --- 1. dependences -----------------------------------------------------
-    ready_at: dict[int, float] = {}
-    for tr in schedule.transfers:
-        if tr.kind == "load":
-            # A value may be loaded several times (spill/refill); its first
-            # availability is the earliest load completion.
-            prev = ready_at.get(tr.value_id)
-            ready_at[tr.value_id] = tr.end if prev is None else min(prev, tr.end)
-    # Producer completions (later loads may refresh spilled values, but a
-    # value is ready at min(load end, producer end) whichever applies first;
-    # we take producer end as authoritative for first use).
-    for s in schedule.instrs:
-        instr = graph.instructions[s.instr_id]
-        ready_at.setdefault(instr.output, s.end)
-        ready_at[instr.output] = min(ready_at.get(instr.output, s.end), s.end)
+    # --- 1. dependences, 4. scratchpad capacity & clobbers --------------------
+    # One forward walk of the event stream.  ``avail[v]`` is the completion of
+    # v's latest delivery so far (inf: never delivered); the k-th load event
+    # of a value is served by its k-th load transfer.  An instruction missing
+    # from the schedule is not checked, and its result is never delivered.
+    start_of = [INF] * graph.num_instructions
+    end_of = [INF] * graph.num_instructions
+    for i, s, e in zip(schedule.instr_id, schedule.instr_start,
+                       schedule.instr_end):
+        start_of[i] = s
+        end_of[i] = e
+    load_ends: dict[int, list[float]] = {}
+    for kind, vid, end in zip(schedule.transfer_kind, schedule.transfer_value,
+                              schedule.transfer_end):
+        if kind == LOAD_TRANSFER:
+            load_ends.setdefault(vid, []).append(end)
+    for ends in load_ends.values():
+        ends.reverse()          # pop() serves them in issue order
+    avail = [INF] * graph.num_values
 
-    for s in schedule.instrs:
-        instr = graph.instructions[s.instr_id]
-        for vid in instr.inputs:
-            producer = graph.values[vid].producer
-            if producer is not None and producer in instrs_by_id:
-                avail = instrs_by_id[producer].end
-            else:
-                avail = ready_at.get(vid)
-                if avail is None:
-                    violations.append(
-                        f"instr {s.instr_id}: operand {vid} never made available"
-                    )
-                    continue
-            if s.start + 1e-9 < avail:
+    offsets, _ = graph.users_csr()
+    users_left = list(map(sub, offsets[1:], offsets[:-1]))
+    is_output = bytearray(graph.num_values)
+    for vid in movement.outputs:
+        is_output[vid] = 1
+    resident = bytearray(graph.num_values)
+    n_resident = peak = 0
+    capacity = movement.capacity_rvecs
+
+    def late(target: int, vid: int) -> None:
+        ready = avail[vid]
+        if ready == INF:
+            violations.append(
+                f"instr {target}: operand {vid} never made available")
+        elif start_of[target] + 0.5 < ready + transfer:
+            violations.append(
+                f"instr {target} starts at {start_of[target]} before operand "
+                f"{vid} is ready at {ready + transfer}")
+
+    for kind, target in zip(movement.event_kind, movement.event_target):
+        if kind == EXEC:
+            a, b, o = in0[target], in1[target], out[target]
+            # Operands must be delivered by this cycle.
+            deadline = start_of[target] + 0.5 - transfer
+            if deadline != INF:
+                if deadline < avail[a]:
+                    late(target, a)
+                if b >= 0 and deadline < avail[b]:
+                    late(target, b)
+            avail[o] = end_of[target]
+            if not resident[a]:
+                violations.append(f"clobber: instr {target} reads non-resident {a}")
+            if b >= 0 and not resident[b]:
+                violations.append(f"clobber: instr {target} reads non-resident {b}")
+            if not resident[o]:
+                resident[o] = 1
+                n_resident += 1
+            for vid in (a,) if b < 0 else (a, b):
+                left = users_left[vid] = users_left[vid] - 1
+                if left <= 0 and resident[vid] and not is_output[vid]:
+                    resident[vid] = 0
+                    n_resident -= 1
+        elif kind == LOAD:
+            ends = load_ends.get(target)
+            avail[target] = ends.pop() if ends else INF
+            if not resident[target]:
+                resident[target] = 1
+                n_resident += 1
+        elif resident[target]:   # evict / store
+            resident[target] = 0
+            n_resident -= 1
+        if n_resident > peak:
+            if n_resident > capacity >= peak:
                 violations.append(
-                    f"instr {s.instr_id} starts at {s.start} before operand "
-                    f"{vid} is ready at {avail}"
+                    f"scratchpad capacity exceeded: {n_resident} resident "
+                    f"> {capacity}"
                 )
+            peak = n_resident
 
     # --- 2. structural hazards ----------------------------------------------
-    by_unit: dict[tuple[str, int, int], list] = defaultdict(list)
-    for s in schedule.instrs:
-        by_unit[(s.fu, s.cluster, s.unit)].append(s)
-    for key, items in by_unit.items():
-        items.sort(key=lambda s: s.start)
-        for prev, cur in zip(items, items[1:]):
-            if cur.start < prev.start + prev.occupancy:
-                violations.append(
-                    f"unit {key}: instr {cur.instr_id} issues at {cur.start} "
-                    f"inside occupancy of {prev.instr_id} "
-                    f"({prev.start}+{prev.occupancy})"
-                )
+    # Sort by (fu, cluster, unit, start), packed into one int key whose
+    # per-unit stride exceeds every start + occupancy, so the only adjacent
+    # pairs that can overlap are on the same unit.
+    fu, cluster, unit = schedule.instr_fu, schedule.instr_cluster, schedule.instr_unit
+    start, occ = schedule.instr_start, schedule.instr_occupancy
+    if start:
+        lo = min(start)
+        stride = max(start) - lo + 1 + max(occ)
+        clusters, units = max(cluster) + 1, max(unit) + 1
+        key = [((f * clusters + c) * units + u) * stride + (s - lo)
+               for f, c, u, s in zip(fu, cluster, unit, start)]
+        by_unit = sorted(range(len(key)), key=key.__getitem__)
+        keys = [key[i] for i in by_unit]
+        reach = [key[i] + occ[i] for i in by_unit]
+        for j in compress(count(1), map(lt, keys[1:], reach)):
+            prev, cur = by_unit[j - 1], by_unit[j]
+            violations.append(
+                f"unit {(FU_FAMILIES[fu[cur]], cluster[cur], unit[cur])}: instr "
+                f"{schedule.instr_id[cur]} issues at {start[cur]} inside "
+                f"occupancy of {schedule.instr_id[prev]} "
+                f"({start[prev]}+{occ[prev]})"
+            )
 
     # --- 3. HBM bandwidth ----------------------------------------------------
     # Bandwidth occupancy is taken from each transfer's *recorded* window, not
     # re-derived from load_cycles (which mis-sized store transfers).  A load's
     # recorded end additionally includes the fixed HBM access latency, which
     # does not occupy the channel; subtract it to recover the occupancy end.
+    latency = config.hbm_latency_cycles
     intervals = sorted(
-        (
-            tr.start,
-            tr.end - (config.hbm_latency_cycles if tr.kind == "load" else 0),
-        )
-        for tr in schedule.transfers
+        (start, end - latency if kind == LOAD_TRANSFER else end)
+        for kind, start, end in zip(schedule.transfer_kind,
+                                    schedule.transfer_start,
+                                    schedule.transfer_end)
     )
     for (s0, e0), (s1, _e1) in zip(intervals, intervals[1:]):
         if s1 + 1e-6 < e0:
@@ -124,39 +191,10 @@ def check_schedule(
                 f"HBM oversubscribed: transfer at {s1} overlaps one ending {e0}"
             )
 
-    # --- 4. scratchpad capacity & clobbers -----------------------------------
-    peak = 0
-    resident: set[int] = set()
-    users_left = {v.value_id: len(v.users) for v in graph.values}
-    for event in movement.events:
-        if event.kind == "load":
-            resident.add(event.target)
-        elif event.kind in ("evict", "store"):
-            resident.discard(event.target)
-        elif event.kind == "exec":
-            instr = graph.instructions[event.target]
-            for vid in instr.inputs:
-                if vid not in resident:
-                    violations.append(
-                        f"clobber: instr {event.target} reads non-resident {vid}"
-                    )
-            resident.add(instr.output)
-            for vid in set(instr.inputs):
-                users_left[vid] -= instr.inputs.count(vid)
-                if users_left[vid] <= 0 and vid not in movement.outputs:
-                    resident.discard(vid)
-        peak = max(peak, len(resident))
-        if len(resident) > movement.capacity_rvecs:
-            violations.append(
-                f"scratchpad capacity exceeded: {len(resident)} resident "
-                f"> {movement.capacity_rvecs}"
-            )
-            break
-
     return CheckReport(
         ok=not violations,
         violations=violations,
-        instructions_checked=len(schedule.instrs),
-        transfers_checked=len(schedule.transfers),
+        instructions_checked=len(schedule.instr_id),
+        transfers_checked=len(schedule.transfer_kind),
         peak_resident_rvecs=peak,
     )

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compiler.cycle_scheduler import CycleSchedule
+from repro.compiler.cycle_scheduler import FU_FAMILIES, CycleSchedule
 from repro.compiler.data_scheduler import DataMovementSchedule
 from repro.core.config import F1Config
 from repro.core.energy import EnergyModel
@@ -29,12 +29,14 @@ def utilization_timeline(schedule: CycleSchedule, *, windows: int = 64) -> Timel
     n_bins = (makespan + window - 1) // window
     fus = {"ntt": np.zeros(n_bins), "aut": np.zeros(n_bins),
            "mul": np.zeros(n_bins), "add": np.zeros(n_bins)}
-    for s in schedule.instrs:
-        _spread(fus[s.fu], s.start, s.start + s.occupancy, window)
+    by_code = [fus[fu] for fu in FU_FAMILIES]
+    for fu, start, occupancy in zip(schedule.instr_fu, schedule.instr_start,
+                                    schedule.instr_occupancy):
+        _spread(by_code[fu], start, start + occupancy, window)
     hbm = np.zeros(n_bins)
     load_cycles = schedule.config.load_cycles(schedule.n)
-    for tr in schedule.transfers:
-        _spread(hbm, tr.start, tr.start + load_cycles, window)
+    for start in schedule.transfer_start:
+        _spread(hbm, start, start + load_cycles, window)
     freq_ghz = schedule.config.frequency_ghz
     return Timeline(
         window_cycles=window,
@@ -77,7 +79,7 @@ def power_breakdown(
     )
     # Each instruction reads its operands from and writes its result to the
     # register file; each operand also crosses the NoC from a scratchpad bank.
-    n_ops = len(schedule.instrs)
+    n_ops = len(schedule.instr_id)
     operand_count = 2 * n_ops  # ~2 RF accesses (read operands, write result)
     rf_nj = operand_count * schedule.config.chunks(schedule.n) \
         * energy.rf_access_nj_per_rvec_chunk

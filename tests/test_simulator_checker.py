@@ -138,3 +138,114 @@ def test_raise_if_failed(pieces):
     report = check_schedule(translation.graph, hacked_movement, schedule, cfg)
     with pytest.raises(AssertionError):
         report.raise_if_failed()
+
+
+# --------------------------------------------------------------------------
+# Operand delivery: the network transfer and refills of spilled values.
+
+def _deliveries(graph, movement, schedule):
+    """instr id -> {operand: completion of its latest delivery before the
+    use} (the producing instruction, or the load that last brought it in).
+    Load and store events are served by the transfers in issue order."""
+    end_of = {s.instr_id: s.end for s in schedule.instrs}
+    transfers = iter(schedule.transfers)
+    latest, via_load, out = {}, {}, {}
+    for e in movement.events:
+        if e.kind in ("load", "store"):
+            tr = next(transfers)
+            if e.kind == "load":
+                latest[e.target], via_load[e.target] = tr.end, True
+        elif e.kind == "exec":
+            instr = graph.instructions[e.target]
+            out[e.target] = {v: (latest[v], via_load[v]) for v in instr.inputs}
+            latest[instr.output] = end_of[e.target]
+            via_load[instr.output] = False
+    return out
+
+
+def _move(schedule, victim, start):
+    """A copy of ``schedule`` with ``victim`` issued at ``start`` on a unit
+    nothing else uses, so no structural hazard hides the dependence."""
+    hacked = dataclasses.replace(schedule)
+    records = list(schedule.instrs)
+    idx = next(i for i, s in enumerate(records) if s.instr_id == victim.instr_id)
+    spare = max(s.unit for s in records) + 1
+    records[idx] = dataclasses.replace(
+        victim, start=start, end=start + (victim.end - victim.start), unit=spare)
+    hacked.instrs = records
+    return hacked
+
+
+def test_detects_start_inside_transfer_window(pieces):
+    """An instruction issued when its producer completes, before the operand
+    crosses the on-chip network, is a missed dependence."""
+    translation, movement, schedule, cfg = pieces
+    graph = translation.graph
+    transfer = cfg.transfer_cycles(graph.n)
+    deliveries = _deliveries(graph, movement, schedule)
+    for victim in schedule.instrs:
+        operands = deliveries[victim.instr_id]
+        produced = [v for v, (_, by_load) in operands.items() if not by_load]
+        if not produced:
+            continue
+        v = produced[0]
+        at = operands[v][0]
+        if all(t + transfer <= at for u, (t, _) in operands.items() if u != v):
+            break
+    else:
+        pytest.fail("no instruction with an on-chip operand")
+    report = check_schedule(graph, movement, _move(schedule, victim, at), cfg)
+    assert not report.ok
+    assert any(f"instr {victim.instr_id} starts at {at} before operand {v} " in m
+               for m in report.violations)
+
+
+@pytest.fixture(scope="module")
+def spilled():
+    """A program squeezed into 128 RVec slots: intermediates spill and are
+    refilled before their later uses."""
+    p = Program(n=2048, name="spill")
+    hs = [p.input(6) for _ in range(3)]
+    v = p.input(6)
+    for h in hs:
+        acc = p.mul(h, v)
+        p.output(p.add(acc, p.rotate(acc, 1)))
+    cfg = F1Config(scratchpad_mb=1)
+    translation = compile_to_instructions(p)
+    movement = schedule_data_movement(translation.graph, translation.outputs, cfg)
+    schedule = schedule_cycles(translation.graph, movement, cfg)
+    assert movement.traffic.intermediate_loads > 0
+    return translation, movement, schedule, cfg
+
+
+def test_spilling_schedule_passes(spilled):
+    translation, movement, schedule, cfg = spilled
+    report = check_schedule(translation.graph, movement, schedule, cfg)
+    assert report.ok, report.violations[:3]
+
+
+def test_detects_read_before_refill(spilled):
+    """A spilled value is available again only when its refill completes,
+    however early its producer finished."""
+    translation, movement, schedule, cfg = spilled
+    graph = translation.graph
+    transfer = cfg.transfer_cycles(graph.n)
+    end_of = {s.instr_id: s.end for s in schedule.instrs}
+    deliveries = _deliveries(graph, movement, schedule)
+    for victim in schedule.instrs:
+        operands = deliveries[victim.instr_id]
+        refilled = [v for v, (_, by_load) in operands.items()
+                    if by_load and graph.values[v].producer is not None]
+        if not refilled:
+            continue
+        v = refilled[0]
+        at = max([end_of[graph.values[v].producer] + transfer]
+                 + [t + transfer for u, (t, _) in operands.items() if u != v])
+        if at < operands[v][0] + transfer:
+            break
+    else:
+        pytest.fail("no use of a refilled value")
+    report = check_schedule(graph, movement, _move(schedule, victim, at), cfg)
+    assert not report.ok
+    assert any(f"instr {victim.instr_id} starts at {at} before operand {v} " in m
+               for m in report.violations)
